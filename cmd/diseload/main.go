@@ -41,7 +41,7 @@ func main() {
 		conc     = flag.Int("c", 8, "closed-loop concurrency (in-flight requests)")
 		rps      = flag.Float64("rps", 20, "open-loop target arrival rate, requests/second")
 		outst    = flag.Int("max-outstanding", 256, "open-loop cap on in-flight requests; arrivals beyond it are shed")
-		duration = flag.Duration("duration", 5*time.Second, "wall-clock run bound")
+		duration = flag.Duration("duration", 5*time.Second, "how long new jobs are started; jobs in flight then run to completion")
 		maxReq   = flag.Int64("n", 0, "stop after this many issued jobs (0 = duration-bound)")
 		mixSpec  = flag.String("mix", "", "job mix as name[@cells][:weight] parts (quickstart, a bench name, or <bench>+count; @cells submits a batch sweep of that width); default quickstart:4,gzip:1,mcf+count:1")
 		classes  = flag.Int("classes", 1, "trace-cache classes per mix entry (1 = every repeat hits the cache)")

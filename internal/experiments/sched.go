@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -216,68 +215,6 @@ type traceEntry struct {
 	tr   *trace.Trace
 }
 
-// The process-wide capture store. A (prog, key) pair fully determines the
-// dynamic instruction stream — program pointers are memoized by the
-// workload/compression caches and the class key renders every
-// stream-changing dimension — so a capture made by one harness is valid for
-// every later harness and repeated run in the process (the same invariant
-// that lets cells share captures within one sched). The store is bounded:
-// when cached records exceed gTraceBudget bytes the least-recently used
-// traces are dropped and simply re-captured on next use, so full-scale
-// sweeps cannot grow the heap without limit. Eviction affects wall-clock
-// time only; results are byte-identical on hit, miss, or forceLive.
-const gTraceBudget = 256 << 20
-
-type gTraceEnt struct {
-	tr  *trace.Trace
-	gen uint64
-}
-
-var gTraces = struct {
-	sync.Mutex
-	m     map[traceKey]*gTraceEnt
-	gen   uint64
-	bytes int64
-}{m: make(map[traceKey]*gTraceEnt)}
-
-func gTraceGet(k traceKey) *trace.Trace {
-	gTraces.Lock()
-	defer gTraces.Unlock()
-	e := gTraces.m[k]
-	if e == nil {
-		return nil
-	}
-	gTraces.gen++
-	e.gen = gTraces.gen
-	return e.tr
-}
-
-func gTracePut(k traceKey, tr *trace.Trace) {
-	sz := traceBytes(tr)
-	gTraces.Lock()
-	defer gTraces.Unlock()
-	if _, ok := gTraces.m[k]; ok {
-		return
-	}
-	gTraces.gen++
-	gTraces.m[k] = &gTraceEnt{tr: tr, gen: gTraces.gen}
-	gTraces.bytes += sz
-	for gTraces.bytes > gTraceBudget && len(gTraces.m) > 1 {
-		var victim traceKey
-		vg := ^uint64(0)
-		for kk, ee := range gTraces.m {
-			if ee.gen < vg {
-				vg, victim = ee.gen, kk
-			}
-		}
-		gTraces.bytes -= traceBytes(gTraces.m[victim].tr)
-		delete(gTraces.m, victim)
-	}
-}
-
-// traceBytes estimates a trace's record footprint (32 bytes per cpu.Rec).
-func traceBytes(tr *trace.Trace) int64 { return int64(tr.Len()) * 32 }
-
 func (s *sched) traceEntry(k traceKey) *traceEntry {
 	s.tmu.Lock()
 	defer s.tmu.Unlock()
@@ -289,17 +226,12 @@ func (s *sched) traceEntry(k traceKey) *traceEntry {
 	return e
 }
 
-// capture returns the shared trace for (prog, cl): from the process-wide
-// store when a previous harness already captured the class, otherwise
-// capturing on first use under a semaphore slot.
+// capture returns the shared trace for (prog, cl), capturing it on first
+// use under a semaphore slot.
 func (s *sched) capture(prog *program.Program, prep func(*emu.Machine), cl class) *trace.Trace {
 	k := traceKey{prog: prog, key: cl.key}
 	ent := s.traceEntry(k)
 	ent.once.Do(func() {
-		if tr := gTraceGet(k); tr != nil {
-			ent.tr = tr
-			return
-		}
 		if err := s.acquire(); err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", prog.Name, err))
 		}
@@ -308,14 +240,9 @@ func (s *sched) capture(prog *program.Program, prep func(*emu.Machine), cl class
 		if prep != nil {
 			prep(m)
 		}
+		// A capture truncated by cancellation replays as the cancellation
+		// trap; it lives only as long as this harness's scheduler.
 		ent.tr = trace.CaptureContext(s.ctx, m)
-		// A capture truncated by cancellation reflects a wall-clock
-		// accident, not program content: replaying it propagates the
-		// cancellation trap, but it must never become the process-wide
-		// class representative.
-		if !errors.Is(ent.tr.Err(), emu.ErrCancelled) {
-			gTracePut(k, ent.tr)
-		}
 	})
 	if ent.tr == nil {
 		// The capture panicked on another cell; that panic is already

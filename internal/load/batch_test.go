@@ -69,7 +69,11 @@ func TestOpenLoopShedsBatchInCells(t *testing.T) {
 		BudgetInsts: 1 << 40,
 	}
 	mix := []Entry{{Name: "spin@8", Weight: 1, Cells: 8, Req: &spin}}
-	rep, err := Run(context.Background(), Options{
+	// The spinning batches never finish on their own: the run's context, not
+	// its duration, is what cuts the one in flight short.
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	rep, err := Run(ctx, Options{
 		Client:         c,
 		Mix:            mix,
 		Mode:           "open",

@@ -192,8 +192,11 @@ type Options struct {
 	// (default 256); arrivals beyond it are shed and counted.
 	MaxOutstanding int
 
-	Duration    time.Duration // wall-clock bound (default 5s)
-	MaxRequests int64         // stop after this many issued jobs (0 = duration-bound)
+	// Duration bounds how long new jobs are started (default 5s). Jobs in
+	// flight when it passes run to completion; the caller's context is the
+	// hard bound on the whole run.
+	Duration    time.Duration
+	MaxRequests int64 // stop after this many issued jobs (0 = duration-bound)
 
 	// Classes fans each entry out over N trace-cache classes by salting the
 	// instruction budget (default 1: every repeat hits the cache).
@@ -384,12 +387,12 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	})
 
 	start := time.Now()
-	ctx, cancel := context.WithDeadline(ctx, start.Add(o.Duration))
+	arrivals, cancel := context.WithDeadline(ctx, start.Add(o.Duration))
 	defer cancel()
 	if o.Mode == "closed" {
-		r.closedLoop(ctx)
+		r.closedLoop(ctx, arrivals)
 	} else {
-		r.openLoop(ctx)
+		r.openLoop(ctx, arrivals)
 	}
 	rep := r.report(time.Since(start))
 
@@ -403,7 +406,10 @@ func Run(ctx context.Context, o Options) (*Report, error) {
 	return rep, nil
 }
 
-func (r *run) closedLoop(ctx context.Context) {
+// closedLoop and openLoop start arrivals until the arrivals context is done
+// and run each under ctx, so the duration bound stops new work without cutting short the
+// work already in flight.
+func (r *run) closedLoop(ctx, arrivals context.Context) {
 	var wg sync.WaitGroup
 	wg.Add(r.o.Concurrency)
 	for range r.o.Concurrency {
@@ -411,7 +417,7 @@ func (r *run) closedLoop(ctx context.Context) {
 			defer wg.Done()
 			for {
 				i := r.seq.Add(1) - 1
-				if ctx.Err() != nil || (r.o.MaxRequests > 0 && i >= r.o.MaxRequests) {
+				if arrivals.Err() != nil || (r.o.MaxRequests > 0 && i >= r.o.MaxRequests) {
 					r.seq.Add(-1) // not issued
 					return
 				}
@@ -422,7 +428,7 @@ func (r *run) closedLoop(ctx context.Context) {
 	wg.Wait()
 }
 
-func (r *run) openLoop(ctx context.Context) {
+func (r *run) openLoop(ctx, arrivals context.Context) {
 	interval := time.Duration(float64(time.Second) / r.o.RPS)
 	if interval <= 0 {
 		interval = time.Microsecond
@@ -433,7 +439,7 @@ func (r *run) openLoop(ctx context.Context) {
 	var wg sync.WaitGroup
 	for n := int64(0); r.o.MaxRequests == 0 || n < r.o.MaxRequests; n++ {
 		select {
-		case <-ctx.Done():
+		case <-arrivals.Done():
 			wg.Wait()
 			return
 		case <-ticker.C:
@@ -459,12 +465,15 @@ func (r *run) openLoop(ctx context.Context) {
 
 // runOne issues arrival i: picks its mix entry and cache class, submits
 // (as a single job or a batch sweep) with retries, and files every cell in
-// exactly one bucket.
+// exactly one bucket. Successive passes over the schedule take successive
+// classes, so len(schedule) x Classes arrivals visit every (entry, class)
+// pair once.
 func (r *run) runOne(ctx context.Context, i int64) {
-	ent := r.schedule[i%int64(len(r.schedule))]
+	n := int64(len(r.schedule))
+	ent := r.schedule[i%n]
 	r.issued.Add(ent.units())
 	req := *ent.Req
-	class := i % int64(r.o.Classes)
+	class := (i / n) % int64(r.o.Classes)
 	if r.o.Classes > 1 {
 		// Budget salting: distinct budgets are distinct cache keys, but any
 		// program that halts before the smallest budget produces identical

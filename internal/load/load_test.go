@@ -2,9 +2,12 @@ package load
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,4 +190,80 @@ func mustMix(t *testing.T, spec string) []Entry {
 		t.Fatal(err)
 	}
 	return mix
+}
+
+// fakeAPI answers every single job "done" after delay (or with the
+// context's error if that ends first) and records the budget and program of
+// each submission.
+type fakeAPI struct {
+	delay time.Duration
+	mu    sync.Mutex
+	keys  map[string]int
+}
+
+func (f *fakeAPI) Submit(ctx context.Context, req *server.SubmitRequest) (*client.JobResponse, error) {
+	f.mu.Lock()
+	if f.keys == nil {
+		f.keys = make(map[string]int)
+	}
+	f.keys[fmt.Sprintf("%s/%d", req.Bench, req.BudgetInsts)]++
+	f.mu.Unlock()
+	select {
+	case <-time.After(f.delay):
+		return &client.JobResponse{Outcome: "done"}, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+func (f *fakeAPI) BatchCollect(context.Context, *server.BatchRequest) ([]*client.BatchCell, *server.BatchSummary, error) {
+	return nil, nil, fmt.Errorf("fakeAPI serves single jobs only")
+}
+
+// TestDurationStopsIssuingOnly: the duration bound ends the issuing of new
+// jobs; the jobs in flight when it passes are answered, not cancelled.
+func TestDurationStopsIssuingOnly(t *testing.T) {
+	for _, mode := range []string{"closed", "open"} {
+		t.Run(mode, func(t *testing.T) {
+			rep, err := Run(context.Background(), Options{
+				Client:      &fakeAPI{delay: 150 * time.Millisecond},
+				Mix:         mustMix(t, "gzip"),
+				Mode:        mode,
+				Concurrency: 2,
+				RPS:         50,
+				Duration:    50 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatalf("Run: %v\nreport: %+v", err, rep)
+			}
+			if rep.Issued == 0 || rep.Done != rep.Issued || len(rep.Failed) != 0 {
+				t.Errorf("issued %d, done %d, failed %v: want every issued job done", rep.Issued, rep.Done, rep.Failed)
+			}
+		})
+	}
+}
+
+// TestClassFanOutCoversEveryPair: Classes x len(schedule) arrivals visit
+// every (entry, class) pair, even when the schedule length and the class
+// count share a factor.
+func TestClassFanOutCoversEveryPair(t *testing.T) {
+	f := &fakeAPI{}
+	rep, err := Run(context.Background(), Options{
+		Client:      f,
+		Mix:         mustMix(t, "gzip,mcf"),
+		Concurrency: 1,
+		MaxRequests: 4,
+		Duration:    30 * time.Second,
+		Classes:     2,
+	})
+	if err != nil {
+		t.Fatalf("Run: %v\nreport: %+v", err, rep)
+	}
+	want := map[string]int{
+		fmt.Sprintf("gzip/%d", defaultBudget): 1, fmt.Sprintf("gzip/%d", defaultBudget+1): 1,
+		fmt.Sprintf("mcf/%d", defaultBudget): 1, fmt.Sprintf("mcf/%d", defaultBudget+1): 1,
+	}
+	if !reflect.DeepEqual(f.keys, want) {
+		t.Errorf("visited %v, want each of the 4 (entry, class) pairs once: %v", f.keys, want)
+	}
 }

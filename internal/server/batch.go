@@ -12,22 +12,16 @@ package server
 //
 // The byte-identity contract extends to batches: a cell's result object is
 // byte-for-byte the result field of the equivalent single /v1/jobs
-// response, because both are produced by the same compile → capture →
-// replay → payload path and encoded with the same HTML-escaping-off
-// encoder.
+// response, because a single job is a one-cell batch — both routes share
+// the admission helper and the worker (Server.execute) — and both are
+// encoded with the same HTML-escaping-off encoder.
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
-
-	"repro/internal/cpu"
-	"repro/internal/emu"
 )
 
 // maxBatchCells bounds one batch; larger submissions answer 400. The cap
@@ -84,20 +78,6 @@ type BatchSummary struct {
 type BatchLine struct {
 	Cell    *BatchCell    `json:"cell,omitempty"`
 	Summary *BatchSummary `json:"summary,omitempty"`
-}
-
-// batchState is the worker<->handler rendezvous for one admitted batch.
-// The worker sends finished cells on lines (buffered to len(cells), so a
-// slow reader never blocks the worker) and job.finish closes it; the
-// handler streams lines as they arrive and reads the tallies after done.
-type batchState struct {
-	cells []*compiledJob
-	lines chan BatchCell
-
-	// Written by the worker before finish, read by the handler after done.
-	prov    cacheProv
-	done    int
-	trapped int
 }
 
 // compileBatch validates a batch: 1..maxBatchCells cells, each one a valid
@@ -212,53 +192,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("batch-%06d", s.bseq.Add(1))
 	s.fleet.countRoute(r)
 
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var req BatchRequest
-	if err := dec.Decode(&req); err != nil {
-		s.reject(w, r, id, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err), &s.metrics.invalid, t0)
+	j := s.admit(w, r, id, t0, &req, func() ([]*compiledJob, int64, error) {
+		cells, err := compileBatch(&req, s.cfg.DefaultBudget)
+		return cells, req.TimeoutMS, err
+	}, true)
+	if j == nil {
 		return
 	}
-	cells, err := compileBatch(&req, s.cfg.DefaultBudget)
-	if err != nil {
-		s.reject(w, r, id, http.StatusBadRequest, err, &s.metrics.invalid, t0)
-		return
-	}
-	s.metrics.compileLat.Observe(time.Since(t0).Microseconds())
-
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	b := &batchState{cells: cells, lines: make(chan BatchCell, len(cells))}
-	j := &job{c: cells[0], ctx: ctx, enq: time.Now(), done: make(chan struct{}), batch: b}
-	if err := s.sched.submit(j); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
-			s.reject(w, r, id, http.StatusTooManyRequests, err, &s.metrics.rejected, t0)
-		default:
-			s.reject(w, r, id, http.StatusServiceUnavailable, err, &s.metrics.unavail, t0)
-		}
-		return
-	}
+	n := len(j.cells)
 	s.metrics.batches.Add(1)
-	s.metrics.batchCells.Add(int64(len(cells)))
-	s.metrics.cellsPerBatch.Observe(int64(len(cells)))
+	s.metrics.batchCells.Add(int64(n))
+	s.metrics.cellsPerBatch.Observe(int64(n))
 
 	// Hold the response status until the first cell lands: a batch that dies
 	// before producing anything (drained remnant, capture timeout, client
 	// gone while queued) still gets a proper non-200 with the single-job
 	// envelope, so clients keep their typed-error and retry semantics.
-	first, streaming := <-b.lines
+	first, streaming := <-j.lines
 	if !streaming {
-		<-j.done
-		status, outcome := batchFailure(j.err)
-		s.accountAborted(len(cells), outcome)
+		status, outcome := failure(j.err)
+		s.accountAborted(n, outcome)
 		writeJSON(w, status, &SubmitResponse{ID: id, Outcome: outcome, QueueUS: j.queueUS, RunUS: j.runUS, Error: j.err.Error()})
 		s.logRequest(r, id, status, outcome, false, t0)
 		return
@@ -276,25 +230,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 		}
 	}
-	emit(&BatchLine{Cell: &first})
-	for cell := range b.lines {
+	sum := &BatchSummary{ID: id, Outcome: "done", Cells: n}
+	for cell, ok := first, true; ok; cell, ok = <-j.lines {
+		if cell.Outcome == "trapped" {
+			sum.Trapped++
+			s.metrics.cellsTrapped.Add(1)
+		} else {
+			sum.Done++
+			s.metrics.cellsDone.Add(1)
+		}
 		emit(&BatchLine{Cell: &cell})
 	}
-	<-j.done
 
-	sum := &BatchSummary{
-		ID:      id,
-		Outcome: "done",
-		Cells:   len(cells),
-		Done:    b.done,
-		Trapped: b.trapped,
-		Aborted: len(cells) - b.done - b.trapped,
-		Cache:   b.prov.String(),
-		QueueUS: j.queueUS,
-		RunUS:   j.runUS,
-	}
+	sum.Aborted = n - sum.Done - sum.Trapped
+	sum.Cache = j.prov.String()
+	sum.QueueUS, sum.RunUS = j.queueUS, j.runUS
 	if j.err != nil {
-		_, sum.Outcome = batchFailure(j.err)
+		_, sum.Outcome = failure(j.err)
 		sum.Error = j.err.Error()
 	}
 	if sum.Aborted > 0 {
@@ -302,126 +254,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	emit(&BatchLine{Summary: sum})
 	s.metrics.streamBytes.Add(cw.n)
-	s.logRequest(r, id, http.StatusOK, sum.Outcome, b.prov.hit(), t0)
+	s.logRequest(r, id, http.StatusOK, sum.Outcome, j.prov.hit(), t0)
 }
 
-// batchFailure maps a batch-terminating error to the HTTP status (used only
-// before the stream starts) and the outcome word (used in both the
-// pre-stream envelope and the in-stream summary).
-func batchFailure(err error) (int, string) {
-	switch {
-	case errors.Is(err, errDraining):
-		return http.StatusServiceUnavailable, "unavailable"
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "timeout"
-	default:
-		return http.StatusRequestTimeout, "cancelled"
-	}
-}
-
-// accountAborted books n admitted-but-never-answered cells: they are
-// aborted in the batch ledger and land in the jobs counter of the batch's
-// failure outcome, so the jobs and batch_* totals reconcile exactly.
+// accountAborted books n admitted-but-never-answered cells: they are aborted
+// in the batch ledger and land in the jobs counter of the batch's failure
+// outcome, so the jobs and batch_* totals reconcile exactly.
 func (s *Server) accountAborted(n int, outcome string) {
 	s.metrics.cellsAborted.Add(int64(n))
-	switch outcome {
-	case "unavailable":
-		s.metrics.unavail.Add(int64(n))
-	case "timeout":
-		s.metrics.timedOut.Add(int64(n))
-	default:
-		s.metrics.cancelled.Add(int64(n))
-	}
-}
-
-// runBatch executes one admitted batch on a worker: one trace-cache visit
-// for the shared class, then one RunSourceMany record walk per distinct
-// penalty pair. Cells stream out as they finish; cancellation (client
-// disconnect, deadline, drain) stops the walk and leaves the remaining
-// cells to be tallied as aborted by the handler.
-func (s *Server) runBatch(j *job) {
-	start := time.Now()
-	j.queueUS = start.Sub(j.enq).Microseconds()
-	s.metrics.queueLat.Observe(j.queueUS)
-	b := j.batch
-	finish := func(err error) {
-		j.runUS = time.Since(start).Microseconds()
-		s.metrics.runLat.Observe(j.runUS)
-		j.finish(nil, b.prov.hit(), err)
-	}
-
-	if err := j.ctx.Err(); err != nil {
-		finish(err)
-		return
-	}
-	c0 := b.cells[0]
-	tr, es, prov, err := s.cache.do(c0.key, s.captureFunc(j.ctx, c0))
-	b.prov = prov
-	if err != nil {
-		finish(err)
-		return
-	}
-
-	// Group cells by RT penalty pair: penalties are applied by the replayer,
-	// so cells that disagree on them cannot share one walk. Within a group,
-	// RunSourceMany steps every configuration down a single pass over the
-	// shared record stream. The common case — a machine-knob sweep — is one
-	// group, one walk.
-	type penGroup struct {
-		miss, compose int
-		idx           []int
-	}
-	var groups []*penGroup
-	for i, c := range b.cells {
-		var g *penGroup
-		for _, cand := range groups {
-			if cand.miss == c.ecfg.MissPenalty && cand.compose == c.ecfg.ComposePenalty {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &penGroup{miss: c.ecfg.MissPenalty, compose: c.ecfg.ComposePenalty}
-			groups = append(groups, g)
-		}
-		g.idx = append(g.idx, i)
-	}
-
-	for _, g := range groups {
-		cfgs := make([]cpu.Config, len(g.idx))
-		for k, i := range g.idx {
-			cfgs[k] = b.cells[i].ccfg
-			cfgs[k].Ctx = j.ctx
-		}
-		results := cpu.RunSourceMany(tr.Replay(g.miss, g.compose), cfgs)
-		for k, i := range g.idx {
-			res := results[k]
-			if errors.Is(res.Err, emu.ErrCancelled) {
-				// The walk was cut short; every unemitted cell is aborted.
-				err := context.Cause(j.ctx)
-				if err == nil {
-					err = res.Err
-				}
-				finish(err)
-				return
-			}
-			c := b.cells[i]
-			p := c.payload(res, es, tr.Excerpt(c.traceN))
-			cell := BatchCell{Index: i, Outcome: "done", Result: p}
-			if p.Trap != "" {
-				cell.Outcome = "trapped"
-				b.trapped++
-				s.metrics.cellsTrapped.Add(1)
-				s.metrics.trapped.Add(1)
-			} else {
-				b.done++
-				s.metrics.cellsDone.Add(1)
-				s.metrics.done.Add(1)
-			}
-			b.lines <- cell
-		}
-	}
-	finish(nil)
+	s.countFailed(n, outcome)
 }
 
 // countingWriter tallies the bytes written through it, for the

@@ -332,9 +332,16 @@ func (c *traceCache) degraded() bool {
 func (c *traceCache) account(key cacheKey, ent *cacheEnt) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// A concurrent failed capture may have deleted the key; re-insert so the
-	// completed entry is reachable and accounted exactly once.
-	if c.m[key] != ent {
+	// A concurrent failed capture may have deleted the key while this entry's
+	// waiter was still queued on it, and another entry may have been captured
+	// and accounted under the key since. Re-insert so the completed entry is
+	// reachable, and release the displaced entry's bytes: once unmapped it can
+	// never be evicted, so its size would stay in the ledger for good.
+	if old := c.m[key]; old != ent {
+		if old != nil && old.stored {
+			c.bytes -= old.size
+			old.stored = false
+		}
 		c.m[key] = ent
 	}
 	ent.stored = true

@@ -107,3 +107,39 @@ func TestCacheEvictVsSingleFlight(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheAccountDisplacedEntry replays, step by step, the interleaving
+// the hammer above finds only sometimes: a waiter queued on an entry whose
+// capture fails finds the key unmapped, and while it captures, a fresh
+// submission captures and accounts the key under a new entry. When the
+// waiter's capture is accounted it displaces that entry, whose bytes must
+// leave the ledger with it — an unmapped entry can never be evicted.
+func TestCacheAccountDisplacedEntry(t *testing.T) {
+	seed := trace.Capture(emu.New(asm.MustAssemble("smoke", SmokeAsm)))
+	if seed.Err() != nil {
+		t.Fatal(seed.Err())
+	}
+	entrySize := int64(seed.Len()) * 32
+	c := newTraceCache(1<<30, nil, slog.New(slog.NewTextHandler(io.Discard, nil)))
+	var key cacheKey
+	capture := func() (*trace.Trace, core.EngineStats, error) { return seed, core.EngineStats{}, nil }
+
+	// The waiter's entry: mapped once, then unmapped by the failed capture.
+	waiter := &cacheEnt{}
+	// The fresh submission's entry, captured and accounted meanwhile.
+	if _, _, prov, err := c.do(key, capture); err != nil || prov != provCapture {
+		t.Fatalf("fresh capture: prov %v, err %v", prov, err)
+	}
+	// The waiter's own capture lands.
+	waiter.mu.Lock()
+	waiter.tr, waiter.ready = seed, true
+	c.account(key, waiter)
+	waiter.mu.Unlock()
+
+	if st := c.stats(); st.Entries != 1 || st.Bytes != entrySize {
+		t.Fatalf("byte ledger: %d bytes for %d entries of %d", st.Bytes, st.Entries, entrySize)
+	}
+	if tr, _, prov, err := c.do(key, capture); err != nil || prov != provMemory || tr != seed {
+		t.Fatalf("key after the displacement: prov %v, err %v", prov, err)
+	}
+}

@@ -15,35 +15,35 @@ var (
 	errDraining  = errors.New("server is draining")
 )
 
-// job is one queued unit of work: a compiled request plus its completion
-// channel. The worker fills res/cached/err and closes done exactly once.
+// job is one queued unit of work: the compiled cells of one request — a
+// /v1/jobs submission is a one-cell batch — plus the stream the worker
+// answers on. The worker sends each finished cell on lines, buffered to
+// len(cells) so a slow reader never blocks it, and finish closes lines; the
+// handler reads the fields below once lines is closed.
 type job struct {
-	c   *compiledJob
-	ctx context.Context
-	enq time.Time
+	cells  []*compiledJob
+	ctx    context.Context
+	cancel context.CancelFunc // releases ctx's deadline; called by finish
+	enq    time.Time
+	lines  chan BatchCell
 
-	// batch, when non-nil, marks this queue slot as a /v1/batches submission:
-	// c is the first cell (shared class representative) and the worker streams
-	// per-cell results through batch.lines instead of filling res.
-	batch *batchState
+	// cutByCause reports a walk cut short by the context's cause (the batch
+	// summary's form) rather than by the cut cell's own trap (/v1/jobs').
+	cutByCause bool
 
-	res     *ResultPayload
-	cached  bool
+	prov    cacheProv // which cache tier served the class stream
 	err     error
 	queueUS int64 // admission → worker pickup
 	runUS   int64 // worker pickup → completion
-	done    chan struct{}
 }
 
-// finish completes the job exactly once. For batch jobs it also closes the
-// cell stream, so the streaming handler unblocks on every completion path —
-// including the drain-remnant one, where no cell was ever run.
-func (j *job) finish(res *ResultPayload, cached bool, err error) {
-	j.res, j.cached, j.err = res, cached, err
-	if j.batch != nil {
-		close(j.batch.lines)
-	}
-	close(j.done)
+// finish completes the job exactly once, on every path — including the
+// drain-remnant one, where no cell was ever run — by closing the cell
+// stream the waiting handler ranges over.
+func (j *job) finish(err error) {
+	j.err = err
+	j.cancel()
+	close(j.lines)
 }
 
 // scheduler is the serving layer's bounded worker pool, the service-shaped
@@ -74,7 +74,7 @@ func newScheduler(workers, queueDepth int, run func(*job)) *scheduler {
 				s.depth.Add(-1)
 				if s.isDraining() {
 					// Drained queue remnant: clean 503, no simulation.
-					j.finish(nil, false, errDraining)
+					j.finish(errDraining)
 					continue
 				}
 				s.running.Add(1)

@@ -164,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 	if s.cfg.NodeID != "" {
 		s.cache.peer = s
 	}
-	s.sched = newScheduler(s.cfg.Workers, s.cfg.QueueDepth, s.runJob)
+	s.sched = newScheduler(s.cfg.Workers, s.cfg.QueueDepth, s.execute)
 	if disk != nil {
 		s.probeStop = make(chan struct{})
 		go s.probeLoop()
@@ -230,109 +230,137 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("job-%06d", s.seq.Add(1))
 	s.fleet.countRoute(r)
 
+	var req SubmitRequest
+	j := s.admit(w, r, id, t0, &req, func() ([]*compiledJob, int64, error) {
+		c, err := compile(&req, s.cfg.DefaultBudget)
+		if err != nil {
+			return nil, 0, err
+		}
+		return []*compiledJob{c}, c.timeoutMS, nil
+	}, false)
+	if j == nil {
+		return
+	}
+	var cell *BatchCell
+	for c := range j.lines {
+		cell = &c
+	}
+
+	resp := &SubmitResponse{ID: id, Cached: j.prov.hit(), QueueUS: j.queueUS, RunUS: j.runUS}
+	status := http.StatusOK
+	if cell != nil {
+		resp.Outcome, resp.Result = cell.Outcome, cell.Result
+	} else {
+		status, resp.Outcome = failure(j.err)
+		resp.Error = j.err.Error()
+		s.countFailed(1, resp.Outcome)
+	}
+	writeJSON(w, status, resp)
+	s.logRequest(r, id, status, resp.Outcome, resp.Cached, t0)
+}
+
+// admit is the admission path of both routes: decode the body into req
+// (unknown fields are a 400), compile it with build into its cells and
+// requested timeout_ms, derive the job's deadline, and queue it as one
+// scheduler slot. On any failure it has answered the request itself and
+// returns nil.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, id string, t0 time.Time,
+	req any, build func() ([]*compiledJob, int64, error), cutByCause bool) *job {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	var req SubmitRequest
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(req); err != nil {
 		s.reject(w, r, id, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err), &s.metrics.invalid, t0)
-		return
+		return nil
 	}
-	c, err := compile(&req, s.cfg.DefaultBudget)
+	cells, timeoutMS, err := build()
 	if err != nil {
 		s.reject(w, r, id, http.StatusBadRequest, err, &s.metrics.invalid, t0)
-		return
+		return nil
 	}
 	s.metrics.compileLat.Observe(time.Since(t0).Microseconds())
 
 	timeout := s.cfg.DefaultTimeout
-	if c.timeoutMS > 0 {
-		timeout = min(time.Duration(c.timeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
+	if timeoutMS > 0 {
+		timeout = min(time.Duration(timeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	j := &job{c: c, ctx: ctx, enq: time.Now(), done: make(chan struct{})}
+	j := &job{cells: cells, ctx: ctx, cancel: cancel, enq: time.Now(),
+		lines: make(chan BatchCell, len(cells)), cutByCause: cutByCause}
 	if err := s.sched.submit(j); err != nil {
-		switch {
-		case errors.Is(err, errQueueFull):
+		cancel()
+		if errors.Is(err, errQueueFull) {
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
 			s.reject(w, r, id, http.StatusTooManyRequests, err, &s.metrics.rejected, t0)
-		default:
+		} else {
 			s.reject(w, r, id, http.StatusServiceUnavailable, err, &s.metrics.unavail, t0)
 		}
-		return
+		return nil
 	}
-	<-j.done
-
-	resp := &SubmitResponse{ID: id, Cached: j.cached, QueueUS: j.queueUS, RunUS: j.runUS}
-	status := http.StatusOK
-	switch {
-	case j.err == nil:
-		resp.Result = j.res
-		resp.Outcome = "done"
-		s.metrics.done.Add(1)
-		if j.res.Trap != "" {
-			resp.Outcome = "trapped"
-			s.metrics.done.Add(-1)
-			s.metrics.trapped.Add(1)
-		}
-	case errors.Is(j.err, errDraining):
-		status = http.StatusServiceUnavailable
-		resp.Outcome = "unavailable"
-		resp.Error = j.err.Error()
-		s.metrics.unavail.Add(1)
-	case errors.Is(j.err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-		resp.Outcome = "timeout"
-		resp.Error = j.err.Error()
-		s.metrics.timedOut.Add(1)
-	default:
-		// The client went away mid-job; the response is likely unread.
-		status = http.StatusRequestTimeout
-		resp.Outcome = "cancelled"
-		resp.Error = j.err.Error()
-		s.metrics.cancelled.Add(1)
-	}
-	writeJSON(w, status, resp)
-	s.logRequest(r, id, status, resp.Outcome, j.cached, t0)
+	return j
 }
 
-// runJob executes one admitted job on a worker. Cacheable jobs go through
-// the trace cache — capture on first sight, replay always — so the timing
-// path (and therefore the result bytes) is the same on hit and miss.
-// Watchdogged jobs (MaxCycles > 0) run live and uncached. Batch jobs take
-// their own path: one capture, one record walk per penalty group, k cells.
-func (s *Server) runJob(j *job) {
-	if j.batch != nil {
-		s.runBatch(j)
-		return
+// failure maps a job-terminating error to the HTTP status of its envelope
+// and its outcome word.
+func failure(err error) (int, string) {
+	switch {
+	case errors.Is(err, errDraining):
+		return http.StatusServiceUnavailable, "unavailable"
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, "timeout"
+	default:
+		// The client went away mid-job; the response is likely unread.
+		return http.StatusRequestTimeout, "cancelled"
 	}
+}
+
+// countFailed books n admitted cells that were never answered in the jobs
+// counter of the job's failure outcome.
+func (s *Server) countFailed(n int, outcome string) {
+	switch outcome {
+	case "unavailable":
+		s.metrics.unavail.Add(int64(n))
+	case "timeout":
+		s.metrics.timedOut.Add(int64(n))
+	default:
+		s.metrics.cancelled.Add(int64(n))
+	}
+}
+
+// execute runs one admitted job on a worker, streaming each finished
+// cell on j.lines. A watchdogged job (max_cycles > 0, never batchable) runs
+// live and uncached. Every other job visits the trace cache once for its
+// class — capture on first sight, replay always, so the result bytes are
+// the same on hit and miss — then steps its cells down the stream with one
+// RunSourceMany walk per distinct RT penalty pair (penalties are baked into
+// the replayer); a one-cell walk is exactly RunSource. Cancellation (client
+// gone, deadline) stops the walk; cells not yet streamed are left to the
+// handler to account as aborted.
+func (s *Server) execute(j *job) {
 	start := time.Now()
 	j.queueUS = start.Sub(j.enq).Microseconds()
 	s.metrics.queueLat.Observe(j.queueUS)
 	// finish stamps the run latency before completing the job: the waiting
-	// handler reads these fields as soon as done closes.
-	finish := func(res *ResultPayload, cached bool, err error) {
+	// handler reads these fields as soon as lines closes.
+	finish := func(err error) {
 		j.runUS = time.Since(start).Microseconds()
 		s.metrics.runLat.Observe(j.runUS)
-		j.finish(res, cached, err)
+		j.finish(err)
 	}
 
 	if err := j.ctx.Err(); err != nil {
 		// Deadline or disconnect while queued: never start the simulation.
-		finish(nil, false, err)
+		finish(err)
 		return
 	}
-	c := j.c
-	cfg := c.ccfg
-	cfg.Ctx = j.ctx
-
-	if !c.cacheable {
-		m, ctrl := c.machine()
+	c0 := j.cells[0]
+	if !c0.cacheable {
+		cfg := c0.ccfg
+		cfg.Ctx = j.ctx
+		m, ctrl := c0.machine()
 		res := cpu.Run(m, cfg)
 		if errors.Is(res.Err, emu.ErrCancelled) {
-			finish(nil, false, res.Err)
+			finish(res.Err)
 			return
 		}
 		var es core.EngineStats
@@ -340,21 +368,72 @@ func (s *Server) runJob(j *job) {
 			es = ctrl.Engine().Stats
 		}
 		// No trace exists on the live path, so trace_n is not served here.
-		finish(c.payload(res, es, nil), false, nil)
+		s.emit(j, 0, c0.payload(res, es, nil))
+		finish(nil)
 		return
 	}
 
-	tr, es, prov, err := s.cache.do(c.key, s.captureFunc(j.ctx, c))
+	tr, es, prov, err := s.cache.do(c0.key, s.captureFunc(j.ctx, c0))
+	j.prov = prov
 	if err != nil {
-		finish(nil, false, err)
+		finish(err)
 		return
 	}
-	res := cpu.RunSource(tr.Replay(c.ecfg.MissPenalty, c.ecfg.ComposePenalty), cfg)
-	if errors.Is(res.Err, emu.ErrCancelled) {
-		finish(nil, prov.hit(), res.Err)
-		return
+	// Group cells by RT penalty pair. The common case — a machine-knob
+	// sweep, or a single job — is one group, one walk.
+	type penGroup struct {
+		miss, compose int
+		idx           []int
 	}
-	finish(c.payload(res, es, tr.Excerpt(c.traceN)), prov.hit(), nil)
+	var groups []*penGroup
+	for i, c := range j.cells {
+		var g *penGroup
+		for _, cand := range groups {
+			if cand.miss == c.ecfg.MissPenalty && cand.compose == c.ecfg.ComposePenalty {
+				g = cand
+				break
+			}
+		}
+		if g == nil {
+			g = &penGroup{miss: c.ecfg.MissPenalty, compose: c.ecfg.ComposePenalty}
+			groups = append(groups, g)
+		}
+		g.idx = append(g.idx, i)
+	}
+	for _, g := range groups {
+		cfgs := make([]cpu.Config, len(g.idx))
+		for k, i := range g.idx {
+			cfgs[k] = j.cells[i].ccfg
+			cfgs[k].Ctx = j.ctx
+		}
+		results := cpu.RunSourceMany(tr.Replay(g.miss, g.compose), cfgs)
+		for k, i := range g.idx {
+			res := results[k]
+			if errors.Is(res.Err, emu.ErrCancelled) {
+				err := res.Err
+				if cause := context.Cause(j.ctx); j.cutByCause && cause != nil {
+					err = cause
+				}
+				finish(err)
+				return
+			}
+			c := j.cells[i]
+			s.emit(j, i, c.payload(res, es, tr.Excerpt(c.traceN)))
+		}
+	}
+	finish(nil)
+}
+
+// emit streams cell i's finished result and counts it as a served job.
+func (s *Server) emit(j *job, i int, p *ResultPayload) {
+	cell := BatchCell{Index: i, Outcome: "done", Result: p}
+	if p.Trap != "" {
+		cell.Outcome = "trapped"
+		s.metrics.trapped.Add(1)
+	} else {
+		s.metrics.done.Add(1)
+	}
+	j.lines <- cell
 }
 
 // captureFunc builds the cache-miss capture closure for a compiled job: a

@@ -2,11 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -114,32 +117,45 @@ func TestSmokeGolden(t *testing.T) {
 }
 
 // TestJobLifecycle walks one server through the request lifecycle table:
-// accepted → done/trapped, invalid → 400, deadline → 504.
+// accepted → done/trapped, invalid → 400, deadline → 504, client gone →
+// 408, drained remnant → 503. Every case also pins its /stats ledger: the
+// jobs.* counters move by exactly the case's outcome, and the batches.*
+// counters, which count /v1/batches traffic only, do not move at all.
 func TestJobLifecycle(t *testing.T) {
 	ts, _ := newTestServer(t, quietConfig())
+	var (
+		done     = JobStats{Done: 1}
+		trapped  = JobStats{Trapped: 1}
+		invalid  = JobStats{Invalid: 1}
+		timedOut = JobStats{TimedOut: 1}
+	)
 	cases := []struct {
 		name    string
 		req     *SubmitRequest
 		status  int
 		outcome string
+		delta   JobStats
 	}{
-		{"plain asm", &SubmitRequest{Asm: SmokeAsm}, http.StatusOK, "done"},
-		{"asm with prods", SmokeRequest(), http.StatusOK, "done"},
-		{"bench", &SubmitRequest{Bench: "gzip", BudgetInsts: 20000}, http.StatusOK, "trapped"},
-		{"budget trap", &SubmitRequest{Asm: spinAsm, BudgetInsts: 1000}, http.StatusOK, "trapped"},
-		{"timeout", &SubmitRequest{Asm: spinAsm, BudgetInsts: 1 << 40, TimeoutMS: 1}, http.StatusGatewayTimeout, "timeout"},
-		{"no program", &SubmitRequest{}, http.StatusBadRequest, "invalid"},
-		{"two programs", &SubmitRequest{Asm: SmokeAsm, Bench: "gzip"}, http.StatusBadRequest, "invalid"},
-		{"bad asm", &SubmitRequest{Asm: "not a program"}, http.StatusBadRequest, "invalid"},
-		{"bad image", &SubmitRequest{ImageB64: "AAAA"}, http.StatusBadRequest, "invalid"},
-		{"unknown bench", &SubmitRequest{Bench: "nope"}, http.StatusBadRequest, "invalid"},
-		{"bad prods", &SubmitRequest{Asm: SmokeAsm, Prods: "prod {"}, http.StatusBadRequest, "invalid"},
-		{"bad dise mode", &SubmitRequest{Asm: SmokeAsm, Machine: MachineSpec{DiseMode: "warp"}}, http.StatusBadRequest, "invalid"},
-		{"bad cache size", &SubmitRequest{Asm: SmokeAsm, Machine: MachineSpec{ICacheKB: 7}}, http.StatusBadRequest, "invalid"},
-		{"negative budget", &SubmitRequest{Asm: SmokeAsm, BudgetInsts: -1}, http.StatusBadRequest, "invalid"},
+		{"plain asm", &SubmitRequest{Asm: SmokeAsm}, http.StatusOK, "done", done},
+		{"asm with prods", SmokeRequest(), http.StatusOK, "done", done},
+		{"bench", &SubmitRequest{Bench: "gzip", BudgetInsts: 20000}, http.StatusOK, "trapped", trapped},
+		{"budget trap", &SubmitRequest{Asm: spinAsm, BudgetInsts: 1000}, http.StatusOK, "trapped", trapped},
+		{"live max_cycles", &SubmitRequest{Asm: SmokeAsm, Prods: SmokeProds, MaxCycles: 1 << 30}, http.StatusOK, "done", done},
+		{"live watchdog", &SubmitRequest{Asm: spinAsm, BudgetInsts: 1 << 40, MaxCycles: 5000}, http.StatusOK, "trapped", trapped},
+		{"timeout", &SubmitRequest{Asm: spinAsm, BudgetInsts: 1 << 40, TimeoutMS: 1}, http.StatusGatewayTimeout, "timeout", timedOut},
+		{"no program", &SubmitRequest{}, http.StatusBadRequest, "invalid", invalid},
+		{"two programs", &SubmitRequest{Asm: SmokeAsm, Bench: "gzip"}, http.StatusBadRequest, "invalid", invalid},
+		{"bad asm", &SubmitRequest{Asm: "not a program"}, http.StatusBadRequest, "invalid", invalid},
+		{"bad image", &SubmitRequest{ImageB64: "AAAA"}, http.StatusBadRequest, "invalid", invalid},
+		{"unknown bench", &SubmitRequest{Bench: "nope"}, http.StatusBadRequest, "invalid", invalid},
+		{"bad prods", &SubmitRequest{Asm: SmokeAsm, Prods: "prod {"}, http.StatusBadRequest, "invalid", invalid},
+		{"bad dise mode", &SubmitRequest{Asm: SmokeAsm, Machine: MachineSpec{DiseMode: "warp"}}, http.StatusBadRequest, "invalid", invalid},
+		{"bad cache size", &SubmitRequest{Asm: SmokeAsm, Machine: MachineSpec{ICacheKB: 7}}, http.StatusBadRequest, "invalid", invalid},
+		{"negative budget", &SubmitRequest{Asm: SmokeAsm, BudgetInsts: -1}, http.StatusBadRequest, "invalid", invalid},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			before := getStats(t, ts)
 			status, _, resp := post(t, ts, tc.req)
 			if status != tc.status || resp.Outcome != tc.outcome {
 				t.Fatalf("got status=%d outcome=%q (err %q), want status=%d outcome=%q",
@@ -148,10 +164,16 @@ func TestJobLifecycle(t *testing.T) {
 			if tc.status == http.StatusBadRequest && resp.Error == "" {
 				t.Error("400 without a diagnostic")
 			}
+			after := getStats(t, ts)
+			checkJobLedger(t, before, after, tc.delta)
+			if tc.req.MaxCycles > 0 && (after.Cache.Hits != before.Cache.Hits || after.Cache.Misses != before.Cache.Misses || resp.Cached) {
+				t.Errorf("watchdogged job touched the trace cache: %+v -> %+v (cached %v)", before.Cache, after.Cache, resp.Cached)
+			}
 		})
 	}
 
 	t.Run("unknown field", func(t *testing.T) {
+		before := getStats(t, ts)
 		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
 			bytes.NewReader([]byte(`{"porgram": "oops"}`)))
 		if err != nil {
@@ -161,7 +183,114 @@ func TestJobLifecycle(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("unknown field: got %d, want 400", resp.StatusCode)
 		}
+		checkJobLedger(t, before, getStats(t, ts), invalid)
 	})
+
+	t.Run("client cancel", func(t *testing.T) {
+		before := getStats(t, ts)
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			errc <- postCtx(ctx, ts, &SubmitRequest{Asm: spinAsm, BudgetInsts: 1 << 40, TimeoutMS: 60_000})
+		}()
+		waitStats(t, ts, "worker busy", func(sp *StatsPayload) bool { return sp.Running == 1 })
+		cancel()
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled post: %v, want context.Canceled", err)
+		}
+		waitStats(t, ts, "cancel counted", func(sp *StatsPayload) bool {
+			return sp.Jobs.Cancelled > before.Jobs.Cancelled && sp.Running == 0
+		})
+		checkJobLedger(t, before, getStats(t, ts), JobStats{Cancelled: 1})
+	})
+
+	t.Run("drain remnant", func(t *testing.T) {
+		cfg := quietConfig()
+		cfg.Workers = 1
+		cfg.QueueDepth = 1
+		ts, s := newTestServer(t, cfg)
+		before := getStats(t, ts)
+
+		// The in-flight job spins until its client goes away; the queued one
+		// is the remnant drain must fail with a 503.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		inflight := make(chan error, 1)
+		go func() {
+			inflight <- postCtx(ctx, ts, &SubmitRequest{Asm: spinAsm, BudgetInsts: 1 << 40, TimeoutMS: 60_000})
+		}()
+		waitStats(t, ts, "worker busy", func(sp *StatsPayload) bool { return sp.Running == 1 })
+		type res struct {
+			status  int
+			outcome string
+		}
+		queued := make(chan res, 1)
+		go func() {
+			st, _, r := post(t, ts, &SubmitRequest{Asm: spinAsm, BudgetInsts: 1 << 40, TimeoutMS: 60_000})
+			queued <- res{st, r.Outcome}
+		}()
+		waitStats(t, ts, "job queued", func(sp *StatsPayload) bool { return sp.QueueDepth == 1 })
+
+		drained := make(chan struct{})
+		go func() { s.Drain(); close(drained) }()
+		waitStats(t, ts, "draining", func(sp *StatsPayload) bool { return sp.Draining })
+		cancel()
+		if err := <-inflight; !errors.Is(err, context.Canceled) {
+			t.Fatalf("in-flight post: %v, want context.Canceled", err)
+		}
+		if r := <-queued; r.status != http.StatusServiceUnavailable || r.outcome != "unavailable" {
+			t.Errorf("queued job: status=%d outcome=%q, want 503 unavailable", r.status, r.outcome)
+		}
+		select {
+		case <-drained:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Drain did not return")
+		}
+		waitStats(t, ts, "cancel counted", func(sp *StatsPayload) bool { return sp.Jobs.Cancelled > before.Jobs.Cancelled })
+		checkJobLedger(t, before, getStats(t, ts), JobStats{Unavail: 1, Cancelled: 1})
+	})
+}
+
+// postCtx submits req under ctx and discards the answer: the lifecycle cases
+// that abandon their request observe the server only through /stats.
+func postCtx(ctx context.Context, ts *httptest.Server, req *SubmitRequest) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	resp, err := ts.Client().Do(hr)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return err
+}
+
+// checkJobLedger asserts that the jobs.* counters moved from before to after
+// by exactly want, and that no batches.* counter moved.
+func checkJobLedger(t *testing.T, before, after *StatsPayload, want JobStats) {
+	t.Helper()
+	b, a := before.Jobs, after.Jobs
+	got := JobStats{
+		Done:      a.Done - b.Done,
+		Trapped:   a.Trapped - b.Trapped,
+		Invalid:   a.Invalid - b.Invalid,
+		Rejected:  a.Rejected - b.Rejected,
+		Unavail:   a.Unavail - b.Unavail,
+		TimedOut:  a.TimedOut - b.TimedOut,
+		Cancelled: a.Cancelled - b.Cancelled,
+	}
+	if got != want {
+		t.Errorf("jobs ledger moved by %+v, want %+v", got, want)
+	}
+	if !reflect.DeepEqual(before.Batches, after.Batches) {
+		t.Errorf("a single job moved the batch ledger: %+v -> %+v", before.Batches, after.Batches)
+	}
 }
 
 // TestCacheHitByteIdentical is the tentpole acceptance check: a repeat
