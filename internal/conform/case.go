@@ -209,7 +209,7 @@ func (c *Case) compile() (*compiled, error) {
 		return nil, caseErr(c, "engine: %v", err)
 	}
 	if cc.prods != "" {
-		if _, err := core.NewController(cc.ecfg).InstallFile(cc.prods, nil); err != nil {
+		if err := core.CheckFile(cc.prods, nil); err != nil {
 			return nil, caseErr(c, "prods: %v", err)
 		}
 	}
@@ -237,7 +237,7 @@ func (cc *compiled) machine() *emu.Machine {
 	if cc.prods != "" {
 		ctrl := core.NewController(cc.ecfg)
 		if _, err := ctrl.InstallFile(cc.prods, nil); err != nil {
-			// compile validated the same text against the same config.
+			// compile validated the same text with core.CheckFile.
 			panic(fmt.Sprintf("conform: production set failed revalidation: %v", err))
 		}
 		m.SetExpander(ctrl.Engine())

@@ -57,10 +57,7 @@ func (c *Controller) Engine() *Engine { return c.engine }
 
 // InstallTransparent activates a transparent production: pattern -> repl.
 func (c *Controller) InstallTransparent(name string, pat Pattern, repl *Replacement) (*Production, error) {
-	if repl == nil || len(repl.Insts) == 0 {
-		return nil, fmt.Errorf("dise: production %s: empty replacement", name)
-	}
-	if err := repl.Validate(); err != nil {
+	if err := checkTransparent(name, repl); err != nil {
 		return nil, err
 	}
 	id := c.nextID
@@ -76,21 +73,11 @@ func (c *Controller) InstallTransparent(name string, pat Pattern, repl *Replacem
 // dict. Dictionary entry i is reachable by triggers carrying tag i; the
 // 11-bit tag limits a single pattern to 2048 entries (paper §2.1).
 func (c *Controller) InstallAware(name string, pat Pattern, dict []*Replacement) (*Production, error) {
-	if len(dict) == 0 {
-		return nil, fmt.Errorf("dise: production %s: empty dictionary", name)
-	}
-	if len(dict) > isa.MaxTag+1 {
-		return nil, fmt.Errorf("dise: production %s: %d entries exceed the %d expressible tags",
-			name, len(dict), isa.MaxTag+1)
+	if err := checkAware(name, dict); err != nil {
+		return nil, err
 	}
 	base := c.nextID
 	for i, r := range dict {
-		if r == nil || len(r.Insts) == 0 {
-			return nil, fmt.Errorf("dise: production %s: dictionary entry %d empty", name, i)
-		}
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
 		c.repls[base+i] = r
 		c.aware[base+i] = true
 	}
@@ -99,6 +86,36 @@ func (c *Controller) InstallAware(name string, pat Pattern, dict []*Replacement)
 	c.activeProds = append(c.activeProds, p)
 	c.engine.reset()
 	return p, nil
+}
+
+// checkTransparent returns the error InstallTransparent reports for repl,
+// or nil if it would install.
+func checkTransparent(name string, repl *Replacement) error {
+	if repl == nil || len(repl.Insts) == 0 {
+		return fmt.Errorf("dise: production %s: empty replacement", name)
+	}
+	return repl.Validate()
+}
+
+// checkAware returns the error InstallAware reports for dict, or nil if it
+// would install.
+func checkAware(name string, dict []*Replacement) error {
+	if len(dict) == 0 {
+		return fmt.Errorf("dise: production %s: empty dictionary", name)
+	}
+	if len(dict) > isa.MaxTag+1 {
+		return fmt.Errorf("dise: production %s: %d entries exceed the %d expressible tags",
+			name, len(dict), isa.MaxTag+1)
+	}
+	for i, r := range dict {
+		if r == nil || len(r.Insts) == 0 {
+			return fmt.Errorf("dise: production %s: dictionary entry %d empty", name, i)
+		}
+		if err := r.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Deactivate removes a production from the active set; its replacement

@@ -5,19 +5,29 @@ import (
 	"testing"
 )
 
+// parseSeeds is FuzzParseProductions' seed corpus; TestCheckFileMatchesInstall
+// also runs the CheckFile oracle over every seed.
+var parseSeeds = []string{
+	"",
+	mfiSrc,
+	"prod p { match op == addq\n replace { addqi %rd, 1, %rd } }",
+	"prod p { match class == store }",
+	"prod { }",
+	"prod p { replace { bogus $dr9, 1 } }",
+	"# comment only\n",
+	"prod p { match op == nosuchop\n replace { } }",
+	"\x00{{}}",
+}
+
 // FuzzParseProductions asserts the production parser never panics on arbitrary
-// input and that every rejection wraps ErrParse.
+// input, that every rejection wraps ErrParse, and that CheckFile agrees with
+// an install onto a fresh controller.
 func FuzzParseProductions(f *testing.F) {
-	f.Add("")
-	f.Add(mfiSrc)
-	f.Add("prod p { match op == addq\n replace { addqi %rd, 1, %rd } }")
-	f.Add("prod p { match class == store }")
-	f.Add("prod { }")
-	f.Add("prod p { replace { bogus $dr9, 1 } }")
-	f.Add("# comment only\n")
-	f.Add("prod p { match op == nosuchop\n replace { } }")
-	f.Add("\x00{{}}")
+	for _, s := range parseSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
+		checkAgreesWithInstall(t, src, nil)
 		ps, err := ParseProductions(src)
 		if err != nil {
 			if !errors.Is(err, ErrParse) {

@@ -93,13 +93,9 @@ func (c *Controller) InstallFile(src string, dicts map[string][]*Replacement) ([
 	for _, pp := range parsed {
 		var prod *Production
 		if pp.Aware {
-			dict := pp.Dict
-			if dict == nil {
-				var ok bool
-				dict, ok = dicts[pp.Name]
-				if !ok {
-					return nil, fmt.Errorf("dise: aware production %q has no dictionary", pp.Name)
-				}
+			var dict []*Replacement
+			if dict, err = pp.dictionary(dicts); err != nil {
+				return nil, err
 			}
 			prod, err = c.InstallAware(pp.Name, pp.Pattern, dict)
 		} else {
@@ -111,6 +107,45 @@ func (c *Controller) InstallFile(src string, dicts map[string][]*Replacement) ([
 		out = append(out, prod)
 	}
 	return out, nil
+}
+
+// CheckFile returns exactly the error InstallFile(src, dicts) returns on a
+// freshly created controller, or nil if every production would install. It
+// runs the install checks alone and builds no Controller or Engine, so a
+// caller that only validates production text pays for the parse, not for
+// the PT/RT complex.
+func CheckFile(src string, dicts map[string][]*Replacement) error {
+	parsed, err := ParseProductions(src)
+	if err != nil {
+		return err
+	}
+	for _, pp := range parsed {
+		if !pp.Aware {
+			err = checkTransparent(pp.Name, pp.Repl)
+		} else {
+			var dict []*Replacement
+			if dict, err = pp.dictionary(dicts); err == nil {
+				err = checkAware(pp.Name, dict)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// dictionary returns an aware production's inline dictionary, or else its
+// entry in dicts.
+func (pp *ParsedProduction) dictionary(dicts map[string][]*Replacement) ([]*Replacement, error) {
+	if pp.Dict != nil {
+		return pp.Dict, nil
+	}
+	dict, ok := dicts[pp.Name]
+	if !ok {
+		return nil, fmt.Errorf("dise: aware production %q has no dictionary", pp.Name)
+	}
+	return dict, nil
 }
 
 type prodParser struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -240,5 +241,61 @@ func TestRoundTripThroughString(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("inst %d: %v != %v", i, a[i], b[i])
 		}
+	}
+}
+
+// checkAgreesWithInstall asserts that CheckFile(src, dicts) returns exactly
+// the error InstallFile(src, dicts) returns on a fresh controller.
+func checkAgreesWithInstall(t *testing.T, src string, dicts map[string][]*Replacement) {
+	t.Helper()
+	_, want := NewController(DefaultEngineConfig()).InstallFile(src, dicts)
+	got := CheckFile(src, dicts)
+	if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+		t.Fatalf("CheckFile(%q) = %v, InstallFile = %v", src, got, want)
+	}
+}
+
+func TestCheckFileMatchesInstall(t *testing.T) {
+	nop := func(name string) *Replacement {
+		return &Replacement{Name: name, Insts: []ReplInst{FromLiteral(isa.Nop())}}
+	}
+	big := make([]*Replacement, isa.MaxTag+2)
+	for i := range big {
+		big[i] = nop("x")
+	}
+	farBranch := &Replacement{Name: "far", Insts: []ReplInst{
+		{Op: isa.OpBEQ, RS: Lit(isa.RegDR0), RT: Lit(isa.NoReg), RD: Lit(isa.NoReg),
+			Imm: ImmField{Dir: ImmLit, Lit: 99}, DiseBranch: true},
+	}}
+	const aware = "aware d {\n match op == res0\n}"
+	cases := []struct {
+		name  string
+		src   string
+		dicts map[string][]*Replacement
+		fails bool
+	}{
+		{"aware with dict", aware, map[string][]*Replacement{"d": {nop("e")}}, false},
+		{"inline dict", "aware d {\n match op == res0\n dict {\n entry {\n addqi r1, 1, r1\n }\n }\n}", nil, false},
+		{"empty dictionary", aware, map[string][]*Replacement{"d": {}}, true},
+		{"nil dictionary", aware, map[string][]*Replacement{"d": nil}, true},
+		{"over MaxTag dictionary", aware, map[string][]*Replacement{"d": big}, true},
+		{"nil entry", aware, map[string][]*Replacement{"d": {nop("e0"), nil}}, true},
+		{"empty entry", aware, map[string][]*Replacement{"d": {nop("e0"), {Name: "e1"}}}, true},
+		{"no dictionary", aware, nil, true},
+		{"dictionary under another name", aware, map[string][]*Replacement{"x": {nop("e")}}, true},
+		{"DISE branch out of range in dict", aware, map[string][]*Replacement{"d": {nop("e0"), farBranch}}, true},
+		{"DISE branch out of range in text", "prod p {\n match class == store\n replace {\n dbeq $dr1, 9\n %insn\n }\n}", nil, true},
+		{"second production fails", mfiSrc + "\n" + aware, nil, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := CheckFile(c.src, c.dicts); (err != nil) != c.fails {
+				t.Fatalf("CheckFile error = %v, want failure %v", err, c.fails)
+			}
+			checkAgreesWithInstall(t, c.src, c.dicts)
+		})
+	}
+	for i, src := range parseSeeds {
+		t.Run(fmt.Sprintf("seed %d", i), func(t *testing.T) { checkAgreesWithInstall(t, src, nil) })
 	}
 }

@@ -59,6 +59,18 @@ func TestRegNames(t *testing.T) {
 		{"$dr8", true, NoReg},  // out of range
 		{"r32", false, NoReg},  // out of range
 		{"bogus", false, NoReg},
+		// The number must be the whole rest of the name, in ASCII digits.
+		{"r1x", false, NoReg},
+		{"r+1", false, NoReg},
+		{"r 1", false, NoReg},
+		{"r-0", false, NoReg},
+		{"r", false, NoReg},
+		{"r99999999999999999999", false, NoReg},
+		{"$dr1junk", true, NoReg},
+		{"$dr+0", true, NoReg},
+		{"$dr0x", true, NoReg},
+		{"$dr 0", true, NoReg},
+		{"$dr", true, NoReg},
 	}
 	for _, c := range cases {
 		if got := RegByName(c.name, c.dise); got != c.want {

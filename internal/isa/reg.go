@@ -1,6 +1,10 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Reg is a register number. Application machine code can name the 32
 // architectural registers r0..r31. Decoded instructions — in particular DISE
@@ -84,16 +88,30 @@ func RegByName(name string, dise bool) Reg {
 	case "v0":
 		return RegV0
 	}
-	var n int
 	switch {
-	case len(name) >= 2 && name[0] == 'r':
-		if _, err := fmt.Sscanf(name, "r%d", &n); err == nil && n >= 0 && n < NumArchRegs {
+	case strings.HasPrefix(name, "r"):
+		if n, ok := regNumber(name[1:]); ok && n < NumArchRegs {
 			return Reg(n)
 		}
-	case dise && len(name) >= 4 && name[0] == '$' && name[1] == 'd' && name[2] == 'r':
-		if _, err := fmt.Sscanf(name, "$dr%d", &n); err == nil && n >= 0 && n < NumDiseRegs {
+	case dise && strings.HasPrefix(name, "$dr"):
+		if n, ok := regNumber(name[3:]); ok && n < NumDiseRegs {
 			return RegDR0 + Reg(n)
 		}
 	}
 	return NoReg
+}
+
+// regNumber parses a register-number suffix: one or more ASCII digits and
+// nothing else, so "r1x", "r+1" and "r 1" name no register.
+func regNumber(s string) (int, bool) {
+	if s == "" {
+		return 0, false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
 }

@@ -221,9 +221,10 @@ func compile(req *SubmitRequest, defaultBudget int64) (*compiledJob, error) {
 	j.ccfg.MaxCycles = j.maxCycles
 
 	// Pre-validate the production file so a syntax error is a 400 at submit,
-	// not a failed job: installs go onto a throwaway controller.
+	// not a failed job. CheckFile builds no engine: only a request that runs
+	// one (a live run or a capture, through machine) pays for the PT/RT.
 	if j.prods != "" {
-		if _, err := core.NewController(j.ecfg).InstallFile(j.prods, nil); err != nil {
+		if err := core.CheckFile(j.prods, nil); err != nil {
 			return nil, fmt.Errorf("prods: %w", err)
 		}
 	}
@@ -427,7 +428,8 @@ func (j *compiledJob) machine() (*emu.Machine, *core.Controller) {
 	}
 	ctrl := core.NewController(j.ecfg)
 	if _, err := ctrl.InstallFile(j.prods, nil); err != nil {
-		// compile pre-validated the text against the same engine config.
+		// compile pre-validated the text with core.CheckFile, which returns
+		// exactly the error InstallFile gives on a fresh controller.
 		panic(fmt.Sprintf("server: production set failed revalidation: %v", err))
 	}
 	m.SetExpander(ctrl.Engine())

@@ -116,6 +116,37 @@ func TestSmokeGolden(t *testing.T) {
 	goldentest.Check(t, "server-smoke", mk, 30, 150, goldentest.Want(SmokeWant))
 }
 
+// TestMemoryHitAllocs gates the allocations of a memory-tier hit. A hit
+// runs no engine, so it builds none: an engine built on the hit path again
+// (its RT alone is ~1,000 objects) fails the gate.
+func TestMemoryHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	_, s := newTestServer(t, quietConfig())
+	h := s.Handler()
+	body, err := json.Marshal(SmokeRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
+		return rec
+	}
+	submit() // the miss that captures the trace
+	var resp rawResponse
+	if rec := submit(); rec.Code != http.StatusOK {
+		t.Fatalf("hit: status %d: %s", rec.Code, rec.Body)
+	} else if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || !resp.Cached {
+		t.Fatalf("second submit was not a cache hit (cached %v, err %v)", resp.Cached, err)
+	}
+	const maxAllocs = 300
+	if got := testing.AllocsPerRun(20, func() { submit() }); got > maxAllocs {
+		t.Errorf("memory-tier hit allocates %.0f objects, want <= %d", got, maxAllocs)
+	}
+}
+
 // TestJobLifecycle walks one server through the request lifecycle table:
 // accepted → done/trapped, invalid → 400, deadline → 504, client gone →
 // 408, drained remnant → 503. Every case also pins its /stats ledger: the
@@ -149,9 +180,19 @@ func TestJobLifecycle(t *testing.T) {
 		{"bad image", &SubmitRequest{ImageB64: "AAAA"}, http.StatusBadRequest, "invalid", invalid},
 		{"unknown bench", &SubmitRequest{Bench: "nope"}, http.StatusBadRequest, "invalid", invalid},
 		{"bad prods", &SubmitRequest{Asm: SmokeAsm, Prods: "prod {"}, http.StatusBadRequest, "invalid", invalid},
+		{"prods aware without dict", &SubmitRequest{Asm: SmokeAsm, Prods: "aware d {\n match op == res0\n}"},
+			http.StatusBadRequest, "invalid", invalid},
+		{"prods DISE branch out of range", &SubmitRequest{Asm: SmokeAsm,
+			Prods: "prod p {\n match class == store\n replace {\n dbeq $dr1, 9\n %insn\n }\n}"},
+			http.StatusBadRequest, "invalid", invalid},
 		{"bad dise mode", &SubmitRequest{Asm: SmokeAsm, Machine: MachineSpec{DiseMode: "warp"}}, http.StatusBadRequest, "invalid", invalid},
 		{"bad cache size", &SubmitRequest{Asm: SmokeAsm, Machine: MachineSpec{ICacheKB: 7}}, http.StatusBadRequest, "invalid", invalid},
 		{"negative budget", &SubmitRequest{Asm: SmokeAsm, BudgetInsts: -1}, http.StatusBadRequest, "invalid", invalid},
+	}
+	// Production errors past the syntax check keep their exact diagnostics.
+	errTexts := map[string]string{
+		"prods aware without dict":       `prods: dise: aware production "d" has no dictionary`,
+		"prods DISE branch out of range": "prods: dise: parse: dise: replacement p: inst 0: DISE branch target 9 outside sequence [0,2]",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,6 +204,9 @@ func TestJobLifecycle(t *testing.T) {
 			}
 			if tc.status == http.StatusBadRequest && resp.Error == "" {
 				t.Error("400 without a diagnostic")
+			}
+			if want, ok := errTexts[tc.name]; ok && resp.Error != want {
+				t.Errorf("error = %q, want %q", resp.Error, want)
 			}
 			after := getStats(t, ts)
 			checkJobLedger(t, before, after, tc.delta)
